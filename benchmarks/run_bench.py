@@ -40,14 +40,16 @@ preserves:
 * **compile** — the compiled-program layer: one plan lowered once to a
   :class:`repro.sim.CompiledProgram` and re-executed many times versus the
   per-gate interpreter (`execute_plan(compiled=False)`), program rebind
-  cost, and batched ``(B, 2^n)`` execution versus a B-loop of single-state
-  runs.  The ``--quick`` gate requires compiled re-execution ≥ 2x over the
+  cost (median over distinct fresh-angle circuits), and batched
+  ``(B, 2^n)`` execution versus a B-loop of single-state runs.  The
+  ``--quick`` gate requires compiled re-execution ≥ 2x over the
   interpreter (and ≥ 2x over the committed session baseline's warm
-  per-circuit execution when present), batched execution ≥ 1.5x over the
-  loop at B=16, and agreement across the incore (compiled vs interpreted,
-  bit-exact), batched-vs-looped (tight tolerance — the B-wide gemm fold
-  can change BLAS summation order), offload, and parallel (W ∈ {1,2,4},
-  bit-exact) paths.
+  per-circuit execution when present), a rebind faster than the cold
+  compile, batched execution ≥ 1.5x over the loop at B=16, and agreement
+  across the incore (compiled vs interpreted, bit-exact),
+  batched-vs-looped (tight tolerance — the B-wide gemm fold can change
+  BLAS summation order), offload, and parallel (W ∈ {1,2,4}, bit-exact)
+  paths.
 
 Usage::
 
@@ -66,6 +68,7 @@ import argparse
 import dataclasses
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -435,6 +438,17 @@ def run_session_bench(
 # ---------------------------------------------------------------------------
 
 
+#: Distinct fresh-angle circuits the compile scenario's rebind time is the
+#: median of.
+REBIND_SAMPLES = 7
+#: VQC seed of the compile scenario's base circuit; its rebinds take the
+#: seeds after it.  No other scenario draws these seeds, so the
+#: process-wide caches (gate matrices, fused kernels, matrix analyses)
+#: hold none of their angles: the base compile is cold and every rebind
+#: binds fresh angles, as a parameter sweep does.
+COMPILE_SEED = 10_000
+
+
 def run_compile_bench(
     num_qubits: int,
     repeats: int = 5,
@@ -453,27 +467,34 @@ def run_compile_bench(
         num_qubits, num_shards=4, local_qubits=num_qubits - 2
     )
     config = KernelizeConfig(pruning_threshold=pruning_threshold)
-    circuit = vqc(num_qubits, seed=0)
+    circuit = vqc(num_qubits, seed=COMPILE_SEED)
     plan, _ = partition(circuit, machine, kernelize_config=config)
+
+    # Cold compile: timed before the interpreter runs the plan, which would
+    # leave its fused kernels and matrix analyses cached for the compiler.
+    start = time.perf_counter()
+    program = compile_plan(plan, machine)
+    compile_seconds = time.perf_counter() - start
 
     interp_state, _ = execute_plan(plan, machine=machine, compiled=False)  # warm
     interpreted = _best_seconds(
         lambda: execute_plan(plan, machine=machine, compiled=False), repeats
     )
 
-    start = time.perf_counter()
-    program = compile_plan(plan, machine)
-    compile_seconds = time.perf_counter() - start
     compiled_state = program.run()  # warm (allocates the workspace)
     compiled = _best_seconds(lambda: program.run_view(), repeats)
 
     # Rebind: a structurally identical circuit with new angles recompiles
     # only angle-dependent ops (constant-structure ops reuse verbatim).
-    other = vqc(num_qubits, seed=1)
-    rebound_plan = rebind_plan(plan, other)
-    start = time.perf_counter()
-    rebound = compile_plan(rebound_plan, machine, reuse=program)
-    rebind_seconds = time.perf_counter() - start
+    # Each sample binds a distinct fresh-angle circuit; the median discards
+    # the first rebind's warm-up.
+    rebind_samples = []
+    for seed in range(COMPILE_SEED + 1, COMPILE_SEED + 1 + REBIND_SAMPLES):
+        rebound_plan = rebind_plan(plan, vqc(num_qubits, seed=seed))
+        start = time.perf_counter()
+        rebound = compile_plan(rebound_plan, machine, reuse=program)
+        rebind_samples.append(time.perf_counter() - start)
+    rebind_seconds = statistics.median(rebind_samples)
 
     # Batched (B, 2^n) execution vs a B-loop of single-state runs.
     states = [
@@ -515,6 +536,7 @@ def run_compile_bench(
         "op_counts": program.op_counts(),
         "compile_seconds": compile_seconds,
         "rebind_seconds": rebind_seconds,
+        "rebind_samples": REBIND_SAMPLES,
         "rebind_ops_reused": rebound.ops_reused,
         "interpreted_seconds_per_run": interpreted,
         "compiled_seconds_per_run": compiled,
@@ -728,6 +750,12 @@ def check_regression(
                 f"compile[{size}]: batched B={comp['batched']['batch_size']} "
                 f"only {comp['batched']['speedup_vs_loop']:.2f}x over the "
                 f"single-state loop (< 1.5x)"
+            )
+        if comp["rebind_seconds"] >= comp["compile_seconds"]:
+            problems.append(
+                f"compile[{size}]: rebinding fresh angles "
+                f"{comp['rebind_seconds']*1e3:.2f} ms is not faster than a "
+                f"cold compile {comp['compile_seconds']*1e3:.2f} ms"
             )
         if not comp["bit_exact_incore"]:
             problems.append(

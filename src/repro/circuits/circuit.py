@@ -237,6 +237,16 @@ class Circuit:
         diagonal/anti-diagonal classification the offload runtime segments
         stages by, so plans and stage schedules cached under this key can be
         replayed for any circuit that shares it.
+
+        The pattern comes from each gate's structure pass
+        (:meth:`~repro.circuits.gates.Gate.structure`): computed once per
+        gate instance, it also yields the diagonal/anti-diagonal flags and
+        the insular qubits, looked up by ``(name, pattern)``, so the
+        locality check a compile runs on the same gates costs no further
+        numeric work.  The key fixes patterns, not exact zeros: the
+        simulator classifies ops by exact zeros, so two circuits sharing a
+        key may still compile some op to a different kind (``ry(0)`` is
+        diagonal, ``ry(2*pi)`` dense because ``sin(pi)`` is ``1.2e-16``).
         """
         h = hashlib.blake2b(digest_size=16)
         h.update(self.num_qubits.to_bytes(4, "little"))
@@ -248,8 +258,7 @@ class Circuit:
                 # The boolean non-zero pattern of the unitary: invariant
                 # across generic angles, distinct for structure-changing
                 # special angles (0, pi, ...).
-                pattern = np.abs(g.matrix()) > 1e-12
-                h.update(np.packbits(pattern.reshape(-1)).tobytes())
+                h.update(g.structure().pattern)
         return h.hexdigest()
 
     def canonical_relabeling(self) -> dict[int, int]:

@@ -6,7 +6,10 @@ reproduction: every gate knows its unitary matrix, which of its qubits are
 anti-diagonal.  Insularity is the key property exploited by the staging
 algorithm: insular qubits may be mapped to regional/global physical qubits
 without incurring communication, because each output amplitude depends on a
-single input amplitude along that qubit axis.
+single input amplitude along that qubit axis.  Insularity and the
+(anti-)diagonal flags depend on a gate's angles only through its sparsity
+pattern, so each gate computes them in one structure pass
+(:meth:`Gate.structure`) looked up by ``(name, pattern)``.
 
 Gate matrices follow the little-endian qubit convention used by the rest of
 the package: ``qubits[0]`` is the least-significant qubit of the matrix
@@ -28,6 +31,8 @@ import numpy as np
 __all__ = [
     "Gate",
     "GateSpec",
+    "GateStructure",
+    "PATTERN_ATOL",
     "GATE_SPECS",
     "gate_matrix",
     "controlled_matrix",
@@ -271,11 +276,96 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     return _cached_matrix(name, tuple(params))
 
 
-@lru_cache(maxsize=65536)
-def _cached_structure(name: str, params: tuple[float, ...]) -> tuple[bool, bool]:
-    """(is_diagonal, is_antidiagonal) of the gate's full matrix, cached."""
+#: Magnitude at or below which a matrix entry is zero in a gate's sparsity
+#: pattern (the tolerance :func:`is_diagonal`/:func:`is_antidiagonal` use).
+PATTERN_ATOL = 1e-12
+
+
+@dataclass(frozen=True)
+class GateStructure:
+    """What a gate's sparsity pattern fixes (the gate structure pass).
+
+    Attributes
+    ----------
+    pattern:
+        ``np.packbits`` of the row-major boolean pattern
+        ``|matrix| > PATTERN_ATOL`` — the bytes
+        :meth:`repro.circuits.circuit.Circuit.structural_key` hashes.
+    diagonal, antidiagonal:
+        Whether the pattern has non-zeros only on the (anti-)diagonal.
+    insular, non_insular:
+        Positions in the gate's qubit tuple that are / are not insular
+        (Definition 2), in :meth:`Gate.insular_qubits` order.
+    """
+
+    pattern: bytes
+    diagonal: bool
+    antidiagonal: bool
+    insular: tuple[int, ...]
+    non_insular: tuple[int, ...]
+
+
+def _classify(name: str, matrix: np.ndarray, pattern: bytes) -> GateStructure:
+    spec = GATE_SPECS[name]
+    k, nc = spec.num_qubits, spec.num_controls
+    mask = np.abs(matrix) > PATTERN_ATOL
+    off_diagonal = ~np.eye(mask.shape[0], dtype=bool)
+    diagonal = not np.any(mask & off_diagonal)
+    antidiagonal = not np.any(np.fliplr(mask) & off_diagonal)
+    # Controls (the trailing qubits) are always insular.
+    insular = list(range(k - nc, k))
+    if nc == 0 and k == 1:
+        if diagonal or antidiagonal:
+            insular.append(0)
+    elif nc > 0:
+        # Targets of a controlled gate are insular only when the whole
+        # gate matrix is diagonal (cz, cp, crz, ccz, ...): then every
+        # output amplitude depends on exactly one input amplitude along
+        # every qubit, which is the footnote-2 case of Definition 2.
+        if diagonal:
+            insular.extend(range(k - nc))
+    elif name == "rzz":
+        insular.extend(range(k))
+    return GateStructure(
+        pattern=pattern,
+        diagonal=diagonal,
+        antidiagonal=antidiagonal,
+        insular=tuple(insular),
+        non_insular=tuple(i for i in range(k) if i not in insular),
+    )
+
+
+# Keyed by (gate name, pattern), never by params: a fresh angle with an
+# already-seen pattern is one dict hit (a constant gate, with one pattern,
+# is keyed by its name alone).  Shared across threads (entries are
+# immutable; a race at worst classifies twice) and bounded — cleared when
+# full, like the simulator's matrix-analysis memo.
+_STRUCTURES: dict[object, GateStructure] = {}
+_STRUCTURES_MAX = 4096
+
+
+def _pattern(matrix: np.ndarray) -> bytes:
+    """``np.packbits`` of ``|matrix| > PATTERN_ATOL``, row-major — as scalar
+    tests, several times faster than the array calls on 2x2/4x4 matrices."""
+    bits = 0
+    for value in matrix.ravel().tolist():
+        bits = bits << 1 | (abs(value) > PATTERN_ATOL)
+    pad = -matrix.size % 8
+    return (bits << pad).to_bytes((matrix.size + pad) // 8, "big")
+
+
+def _gate_structure(name: str, params: tuple[float, ...]) -> GateStructure:
+    """The :class:`GateStructure` of gate *name* with parameters *params*."""
     matrix = _cached_matrix(name, params)
-    return is_diagonal(matrix), is_antidiagonal(matrix)
+    # A constant gate has one pattern: its name is the key.
+    key: object = (name, _pattern(matrix)) if params else name
+    structure = _STRUCTURES.get(key)
+    if structure is None:
+        structure = _classify(name, matrix, _pattern(matrix))
+        if len(_STRUCTURES) >= _STRUCTURES_MAX:
+            _STRUCTURES.clear()
+        _STRUCTURES[key] = structure
+    return structure
 
 
 @lru_cache(maxsize=65536)
@@ -327,6 +417,10 @@ class Gate:
                 f"gate {self.name!r} expects {spec.num_params} parameters, "
                 f"got {len(self.params)}"
             )
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(
+                f"gate {self.name!r} has non-finite parameters {self.params}"
+            )
 
     # -- basic properties ---------------------------------------------------
 
@@ -371,50 +465,42 @@ class Gate:
             return self.qubits
         return self.qubits[:-nc]
 
+    def structure(self) -> GateStructure:
+        """This gate's :class:`GateStructure`, computed once per instance."""
+        structure = self.__dict__.get("_structure")
+        if structure is None:
+            structure = _gate_structure(self.name, self.params)
+            self.__dict__["_structure"] = structure
+        return structure
+
     def insular_qubits(self) -> tuple[int, ...]:
         """Qubits of this gate that are insular (Definition 2 of the paper).
 
         * For a single-qubit gate the qubit is insular iff the gate matrix is
           diagonal or anti-diagonal.
         * For a controlled-U gate all control qubits are insular.  If the
-          controlled operation itself is diagonal/anti-diagonal on a target
-          (e.g. ``cz``, ``cp``, ``rzz``), that target is insular too.
+          controlled operation itself is diagonal on its targets (e.g.
+          ``cz``, ``cp``, ``crz``), the targets are insular too; ``rzz`` is
+          insular on both qubits.
 
-        The result is cached on the instance (gates are immutable).
+        Read off the gate's sparsity pattern (:meth:`structure`), so it
+        depends on the angles only through which entries are zero.
         """
-        cached = self.__dict__.get("_insular_cache")
-        if cached is not None:
-            return cached
-        insular: list[int] = list(self.control_qubits)
-        if self.spec.num_controls == 0 and self.num_qubits == 1:
-            m = self.matrix()
-            if is_diagonal(m) or is_antidiagonal(m):
-                insular.append(self.qubits[0])
-        elif self.spec.num_controls > 0:
-            # Targets of a controlled gate are insular only when the whole
-            # gate matrix is diagonal (cz, cp, crz, ccz, ...): then every
-            # output amplitude depends on exactly one input amplitude along
-            # every qubit, which is the footnote-2 case of Definition 2.
-            if self.is_diagonal():
-                insular.extend(self.target_qubits)
-        elif self.num_qubits == 2 and self.name in ("rzz",):
-            insular.extend(self.qubits)
-        result = tuple(dict.fromkeys(insular))
-        self.__dict__["_insular_cache"] = result
-        return result
+        qubits = self.qubits
+        return tuple(qubits[i] for i in self.structure().insular)
 
     def non_insular_qubits(self) -> tuple[int, ...]:
         """Qubits that are *not* insular — the ones the stager must keep local."""
-        ins = set(self.insular_qubits())
-        return tuple(q for q in self.qubits if q not in ins)
+        qubits = self.qubits
+        return tuple(qubits[i] for i in self.structure().non_insular)
 
     def is_diagonal(self) -> bool:
-        """True if the full gate matrix is diagonal."""
-        return _cached_structure(self.name, self.params)[0]
+        """True if the full gate matrix is diagonal (up to :data:`PATTERN_ATOL`)."""
+        return self.structure().diagonal
 
     def is_antidiagonal(self) -> bool:
-        """True if the full gate matrix is anti-diagonal."""
-        return _cached_structure(self.name, self.params)[1]
+        """True if the full gate matrix is anti-diagonal (up to :data:`PATTERN_ATOL`)."""
+        return self.structure().antidiagonal
 
     # -- misc ----------------------------------------------------------------
 

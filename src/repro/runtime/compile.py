@@ -56,7 +56,9 @@ def check_gate_locality(
     gate: Gate, logical_to_physical: dict[int, int], local_qubits: int
 ) -> None:
     """Raise when a non-insular qubit of *gate* is mapped non-locally."""
-    for q in gate.non_insular_qubits():
+    qubits = gate.qubits
+    for i in gate.structure().non_insular:
+        q = qubits[i]
         if logical_to_physical[q] >= local_qubits:
             raise PlanValidationError(
                 f"staging invariant violated: non-insular qubit {q} of gate "

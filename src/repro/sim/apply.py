@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -175,6 +176,8 @@ class MatrixInfo:
 # atomic, so concurrent workers at worst recompute an entry.
 _ANALYSIS_CACHE: dict[int, tuple[np.ndarray, MatrixInfo]] = {}
 _ANALYSIS_CACHE_MAX = 4096
+#: The payload-free classification every dense 2x2 matrix shares.
+_DENSE_1Q = MatrixInfo(kind="dense", k=1)
 
 
 def analyze_matrix(matrix: np.ndarray) -> MatrixInfo:
@@ -197,6 +200,19 @@ def _analyze_impl(matrix: np.ndarray) -> MatrixInfo:
     # Structure detection is exact (== 0), not tolerance-based: library gate
     # matrices have exact zeros, and a numerically-noisy fused matrix must
     # fall through to the dense paths to stay correct.
+    if dim == 2:
+        # The ladder below as scalar tests (a rebind re-analyzes every
+        # fresh-angle 1-qubit matrix).  A NaN on the diagonal fails the
+        # ladder's array_equal, so it takes the general path.
+        (a, b), (c, d) = matrix.tolist()
+        if a == a and d == d:
+            if b == 0 and c == 0:
+                diagonal = matrix.diagonal().copy()
+                return MatrixInfo(kind="diagonal", k=1, diagonal=diagonal)
+            if a == 0 and d == 0 and b != 0 and c != 0:
+                phases = np.array([c, b], dtype=matrix.dtype)
+                return MatrixInfo(kind="permutation", k=1, perm=(1, 0), phases=phases)
+            return _DENSE_1Q
     diag = np.diag(matrix)
     if np.count_nonzero(matrix) == np.count_nonzero(diag) and np.array_equal(
         np.diag(diag), matrix
@@ -299,13 +315,16 @@ def _basis_views(
 def _diag_broadcast(diagonal: np.ndarray, n: int, qubits: Sequence[int]) -> np.ndarray:
     """Reshape ``2^k`` diagonal entries to broadcast over the state tensor."""
     k = len(qubits)
+    full_shape = [1] * n
+    if k == 1:
+        full_shape[qubit_axis(n, qubits[0])] = 2
+        return diagonal.reshape(full_shape)
     diag_tensor = diagonal.reshape((2,) * k)
     # diag index bit k-1 (first axis) is qubits[k-1]; align to state axes.
     src = list(range(k))
     dst_axes = [qubit_axis(n, q) for q in reversed(qubits)]
     order = np.argsort(dst_axes)
     diag_tensor = np.transpose(diag_tensor, axes=[src[i] for i in order])
-    full_shape = [1] * n
     for axis in sorted(dst_axes):
         full_shape[axis] = 2
     return diag_tensor.reshape(full_shape)
@@ -975,6 +994,29 @@ def apply_permutation_x(state: np.ndarray, qubit: int) -> np.ndarray:
     return np.ascontiguousarray(np.flip(tensor, axis=axis)).reshape(-1)
 
 
+@lru_cache(maxsize=1024)
+def _expand_rows(pos: tuple[int, ...], m: int) -> np.ndarray:
+    """Index table of :func:`expand_matrix`: row ``r`` lists, for the
+    ``r``-th assignment of the non-gate bits, where each gate-matrix index
+    lands among the ``2^m`` target indices (gate bit ``j`` at position
+    ``pos[j]``)."""
+    k = len(pos)
+    other_pos = [p for p in range(m) if p not in pos]
+    gate_dim = 1 << k
+    # Index contribution of the gate bits and of every non-gate assignment;
+    # one broadcasted fancy assignment places all 2^(m-k) diagonal blocks.
+    row_idx = np.zeros(gate_dim, dtype=np.int64)
+    for bit_k in range(k):
+        row_idx |= (((np.arange(gate_dim) >> bit_k) & 1) << pos[bit_k]).astype(np.int64)
+    rest_count = 1 << len(other_pos)
+    rest_idx = np.zeros(rest_count, dtype=np.int64)
+    for j, p in enumerate(other_pos):
+        rest_idx |= (((np.arange(rest_count) >> j) & 1) << p).astype(np.int64)
+    rows = rest_idx[:, None] + row_idx[None, :]
+    rows.setflags(write=False)
+    return rows
+
+
 def expand_matrix(
     matrix: np.ndarray, gate_qubits: Sequence[int], target_qubits: Sequence[int]
 ) -> np.ndarray:
@@ -993,22 +1035,8 @@ def expand_matrix(
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError("matrix shape does not match gate qubits")  # lint: config-error
 
-    # Positions of the gate qubits within the target ordering.
-    pos = [target.index(q) for q in gate_qubits]
+    rows = _expand_rows(tuple(target.index(q) for q in gate_qubits), m)
     dim = 1 << m
     out = np.zeros((dim, dim), dtype=np.complex128)
-
-    other_pos = [p for p in range(m) if p not in pos]
-    gate_dim = 1 << k
-    # Index contribution of the gate bits and of every non-gate assignment;
-    # one broadcasted fancy assignment places all 2^(m-k) diagonal blocks.
-    row_idx = np.zeros(gate_dim, dtype=np.int64)
-    for bit_k in range(k):
-        row_idx |= (((np.arange(gate_dim) >> bit_k) & 1) << pos[bit_k]).astype(np.int64)
-    rest_count = 1 << len(other_pos)
-    rest_idx = np.zeros(rest_count, dtype=np.int64)
-    for j, p in enumerate(other_pos):
-        rest_idx |= (((np.arange(rest_count) >> j) & 1) << p).astype(np.int64)
-    rows = rest_idx[:, None] + row_idx[None, :]
     out[rows[:, :, None], rows[:, None, :]] = matrix
     return out

@@ -76,6 +76,39 @@ class TestDispatchClassification:
         info = apply_mod.analyze_matrix(_random_unitary(8, seed=0))
         assert info.kind == "big"
 
+    def test_one_qubit_scalar_tests_match_the_general_ladder(self):
+        """The 2x2 classifier's scalar tests give the kind and payload the
+        general count_nonzero/array_equal ladder gives, on every mix of
+        exact zeros, signed zeros, tiny, generic and non-finite entries."""
+
+        def ladder(matrix):
+            diag = np.diag(matrix)
+            if np.count_nonzero(matrix) == np.count_nonzero(diag) and np.array_equal(
+                np.diag(diag), matrix
+            ):
+                return "diagonal", None, np.ascontiguousarray(diag)
+            if np.all(np.count_nonzero(matrix, axis=0) == 1) and np.all(
+                np.count_nonzero(matrix, axis=1) == 1
+            ):
+                rows = np.argmax(matrix != 0, axis=0)
+                perm = tuple(int(r) for r in rows)
+                return "permutation", perm, np.ascontiguousarray(matrix[rows, [0, 1]])
+            return "dense", None, None
+
+        values = [0j, complex(-0.0, 0.0), 1.2e-16, 0.6 - 0.8j, np.nan, np.inf]
+        for entries in itertools.product(values, repeat=4):
+            matrix = np.array(entries, dtype=np.complex128).reshape(2, 2)
+            kind, perm, payload = ladder(matrix)
+            info = apply_mod._analyze_impl(matrix)
+            assert (info.kind, info.k) == (kind, 1), entries
+            if kind == "diagonal":
+                assert np.array_equal(info.diagonal, payload, equal_nan=True)
+                assert info.diagonal.flags.c_contiguous
+            elif kind == "permutation":
+                assert info.perm == perm
+                assert np.array_equal(info.phases, payload, equal_nan=True)
+                assert info.phases.dtype == payload.dtype
+
 
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("name,params,kind", PATH_CASES)

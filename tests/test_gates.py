@@ -1,10 +1,13 @@
 """Unit tests for the gate vocabulary (repro.circuits.gates)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.circuits import Circuit
 from repro.circuits.gates import (
     GATE_SPECS,
     Gate,
@@ -154,6 +157,17 @@ class TestGateInstance:
         with pytest.raises(ValueError, match="unsupported"):
             Gate("bogus", (0,))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected_at_construction(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            Gate("rx", (0,), (value,))
+        with pytest.raises(ValueError, match="non-finite"):
+            make_gate("u3", (0,), (0.1, value, 0.2))
+        # The builder API fails at the call that made the gate, before any
+        # planning or simulation could run on a NaN matrix.
+        with pytest.raises(ValueError, match="non-finite"):
+            Circuit(2).add("rx", (0,), [value])
+
     def test_control_and_target_qubits(self):
         g = Gate("cx", (3, 7))  # target 3, control 7
         assert g.target_qubits == (3,)
@@ -234,3 +248,86 @@ class TestInsularity:
         assert Gate("cz", (0, 1)).is_diagonal()
         assert not Gate("cx", (0, 1)).is_diagonal()
         assert Gate("x", (0,)).is_antidiagonal()
+
+
+# ---------------------------------------------------------------------------
+# The structure pass against the tolerance-based definitions it replaced
+# ---------------------------------------------------------------------------
+
+
+def _allclose_diagonal(m):
+    return bool(np.allclose(m, np.diag(np.diag(m)), atol=1e-12))
+
+
+def _allclose_antidiagonal(m):
+    flipped = np.fliplr(m)
+    return bool(np.allclose(flipped, np.diag(np.diag(flipped)), atol=1e-12))
+
+
+def _allclose_insular(gate):
+    """Definition 2 as ``Gate.insular_qubits`` computed it with allclose."""
+    m = gate_matrix(gate.name, gate.params)
+    insular = list(gate.control_qubits)
+    if gate.spec.num_controls == 0 and gate.num_qubits == 1:
+        if _allclose_diagonal(m) or _allclose_antidiagonal(m):
+            insular.append(gate.qubits[0])
+    elif gate.spec.num_controls > 0:
+        if _allclose_diagonal(m):
+            insular.extend(gate.target_qubits)
+    elif gate.num_qubits == 2 and gate.name == "rzz":
+        insular.extend(gate.qubits)
+    return tuple(dict.fromkeys(insular))
+
+
+def _assert_structure_matches_oracle(gate):
+    m = gate_matrix(gate.name, gate.params)
+    # The pattern bytes are what Circuit.structural_key hashes.
+    assert gate.structure().pattern == np.packbits(np.abs(m) > 1e-12).tobytes()
+    assert gate.is_diagonal() == _allclose_diagonal(m)
+    assert gate.is_antidiagonal() == _allclose_antidiagonal(m)
+    insular = _allclose_insular(gate)
+    assert gate.insular_qubits() == insular
+    assert gate.non_insular_qubits() == tuple(q for q in gate.qubits if q not in insular)
+
+
+_SPECIAL_ANGLES = (
+    0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, 4 * math.pi, 1e-13, -1e-13,
+)
+
+
+def _qubits(spec):
+    # Non-contiguous, unsorted labels: positions must map to the right qubits.
+    return (7, 2, 5)[: spec.num_qubits]
+
+
+class TestStructurePass:
+    @pytest.mark.parametrize("name", SUPPORTED_GATES)
+    def test_every_gate_at_every_special_angle(self, name):
+        spec = GATE_SPECS[name]
+        for params in itertools.product(_SPECIAL_ANGLES, repeat=spec.num_params):
+            _assert_structure_matches_oracle(Gate(name, _qubits(spec), params))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(SUPPORTED_GATES),
+        angles=st.lists(
+            st.one_of(
+                st.sampled_from(_SPECIAL_ANGLES),
+                st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_random_and_special_angles(self, name, angles):
+        spec = GATE_SPECS[name]
+        _assert_structure_matches_oracle(
+            Gate(name, _qubits(spec), tuple(angles[: spec.num_params]))
+        )
+
+    def test_fresh_angle_with_seen_pattern_shares_the_structure(self):
+        a = Gate("ry", (0,), (0.3,)).structure()
+        b = Gate("ry", (4,), (1.1,)).structure()
+        assert a is b
+        # A structure-changing special angle is a different entry.
+        assert Gate("ry", (0,), (0.0,)).structure() is not a

@@ -11,9 +11,13 @@ constant-structure op; and the offload/parallel runtimes, now replaying
 compiled segment ops, keep their bit-exactness guarantees.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.circuits.gates as gates_module
+import repro.runtime.compile as compile_module
 from repro.circuits import Circuit
 from repro.circuits.library import ghz, qft, random_circuit, vqc
 from repro.cluster import MachineConfig
@@ -253,6 +257,84 @@ class TestRebind:
         warm = compile_plan(rebound_plan, machine, reuse=base_program)
         cold = compile_plan(rebound_plan, machine)
         assert np.array_equal(warm.run().data, cold.run().data)
+
+    def test_rebind_across_exact_zero_classification_flip(self):
+        """``ry(0)`` and ``ry(2*pi)`` share a structural key (``sin(pi)``,
+        about 1.2e-16, is under the key's 1e-12 pattern threshold), yet the
+        exact-zero op classifier sees a diagonal and a dense matrix.  A
+        rebind must recompile those ops to the new kind, bit-equal to a
+        fresh compile and to the interpreter."""
+
+        def circuit(theta):
+            c = Circuit(4)
+            for q in range(4):
+                c.h(q)
+            return c.ry(theta, 1).cx(1, 2).ry(theta, 3).cz(0, 3)
+
+        def single_stage_plan(c):
+            stage = Stage(
+                gates=list(c.gates),
+                partition=QubitPartition.from_sets({0, 1, 2, 3}, set(), set()),
+                gate_indices=list(range(len(c))),
+            )
+            return ExecutionPlan(num_qubits=4, stages=[stage])
+
+        base, flipped = circuit(0.0), circuit(2 * math.pi)
+        assert base.structural_key() == flipped.structural_key()
+        base_program = compile_plan(single_stage_plan(base))
+        rebound_plan = rebind_plan(single_stage_plan(base), flipped)
+        warm = compile_plan(rebound_plan, reuse=base_program)
+        fresh = compile_plan(rebound_plan)
+
+        def kinds(program):
+            return [op.kind for op in program.ops]
+
+        assert kinds(warm) != kinds(base_program)
+        assert kinds(warm) == kinds(fresh)
+        assert warm.ops_reused == len(warm.ops) - 2  # only the two ry ops
+        state = warm.run().data.copy()
+        interp, _ = execute_plan(rebound_plan, compiled=False)
+        assert np.array_equal(state, fresh.run().data)
+        assert np.array_equal(state, interp.data)
+        assert simulate_reference(flipped).allclose(StateVector(4, state))
+
+    def test_warm_fresh_angle_hit_makes_no_allclose_calls(self, monkeypatch):
+        """A fresh-angle cache hit reads insularity off each gate's sparsity
+        pattern: no tolerance comparisons in the gate module, while the
+        locality check still runs on every gate of the rebound plan."""
+
+        class CountingNumpy:
+            allclose_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def allclose(self, *args, **kwargs):
+                CountingNumpy.allclose_calls += 1
+                return np.allclose(*args, **kwargs)
+
+        checked = []
+        check = compile_module.check_gate_locality
+
+        def counting_check(gate, l2p, local):
+            checked.append(gate)
+            check(gate, l2p, local)
+
+        machine = _machine(10)
+        with Session(machine, backend="incore", kernelize_config=FAST_CONFIG) as s:
+            s.run(vqc(10, seed=0)).result()
+            fresh = vqc(10, seed=1)
+            monkeypatch.setattr(gates_module, "np", CountingNumpy())
+            monkeypatch.setattr(compile_module, "check_gate_locality", counting_check)
+            # The probe sees the gate module's allclose calls.
+            gates_module.is_diagonal(np.eye(2))
+            assert CountingNumpy.allclose_calls == 1
+            CountingNumpy.allclose_calls = 0
+            result = s.run(fresh).result()
+            assert s.stats.cache_hits == 1 and s.stats.programs_rebound == 1
+        assert CountingNumpy.allclose_calls == 0
+        assert len(checked) == len(fresh)
+        assert simulate_reference(fresh).allclose(result.state)
 
 
 class TestOffloadAndParallelPaths:
